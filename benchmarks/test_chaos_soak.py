@@ -23,7 +23,8 @@ import pytest
 from repro.chaos import CHAOS_ENV, FaultKind, FaultPlane, FaultRule
 from repro.chaos.faults import CRASH_EXIT_CODE
 from repro.core.cli import main as cli_main
-from repro.store import ConnStore, StoreScrubber
+from repro.store import ConnStore
+from repro.store.scrub import StoreScrubber
 
 _REPO = Path(__file__).resolve().parent.parent
 

@@ -407,10 +407,10 @@ def _store_main(argv: list[str]) -> int:
         return _store_tier_main(args)
     store = open_store(args.store_dir)
     if args.command == "scrub":
-        if args.incremental:
-            from ..store.tier import IncrementalScrubber
+        from ..store.scrub import StoreScrubber
 
-            scrubber = IncrementalScrubber(store)
+        scrubber = StoreScrubber(store)
+        if args.incremental:
             if args.reset_cursor:
                 scrubber.reset()
             cursor = scrubber.run(
@@ -431,9 +431,7 @@ def _store_main(argv: list[str]) -> int:
                 return 0
             print(report.render())
             return 0 if report.ok else 1
-        from ..store.scrub import StoreScrubber
-
-        report = StoreScrubber(store).scrub(
+        report = scrubber.scrub(
             quarantine=not args.audit_only, tmp_grace_s=args.tmp_grace
         )
         print(report.render())

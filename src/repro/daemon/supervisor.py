@@ -230,7 +230,7 @@ class DaemonSupervisor:
         ``maintenance_idle_s`` — feeds between traces, in backoff, or
         all done.  Heartbeats don't count: a watch-mode feed waiting on
         an empty directory beats forever, and that is exactly when
-        maintenance should run.  Each tick is one :meth:`IncrementalScrubber.step`
+        maintenance should run.  Each tick is one :meth:`StoreScrubber.step`
         plus one checkpoint-compaction pass, both budget/grace-bounded,
         in this process — the supervisor tick the loop already owns, no
         new workers.  Maintenance must never take the daemon down: any
@@ -247,16 +247,11 @@ class DaemonSupervisor:
         self._next_maintenance = now + config.maintenance_interval
         try:
             if self._maintenance_scrubber is None:
-                from ..store.tier import (
-                    IncrementalScrubber,
-                    compact_checkpoints,
-                    open_store,
-                )
+                from ..store.scrub import StoreScrubber
+                from ..store.tier import compact_checkpoints, open_store
 
                 self._maintenance_store = open_store(self.store_root)
-                self._maintenance_scrubber = IncrementalScrubber(
-                    self._maintenance_store
-                )
+                self._maintenance_scrubber = StoreScrubber(self._maintenance_store)
                 self._compact = compact_checkpoints
             cursor = self._maintenance_scrubber.step(
                 budget=config.maintenance_budget

@@ -9,9 +9,9 @@ shards without touching a single pcap record.
 * :mod:`repro.store.shard` — the columnar, CRC-checked shard format.
 * :mod:`repro.store.cache` — the content-addressed object store.
 * :mod:`repro.store.query` — filtered scans and table aggregations.
-* :mod:`repro.store.scrub` — offline integrity walks, quarantine, repair.
-* :mod:`repro.store.tier` — multi-root placement, hot tier, compaction,
-  incremental scrub.
+* :mod:`repro.store.scrub` — the scrubber (one-shot or in resumable
+  steps), quarantine, repair.
+* :mod:`repro.store.tier` — multi-root placement, hot tier, compaction.
 """
 
 from .cache import DEFAULT_TMP_GRACE, CachedDataset, ConnStore, GcReport
@@ -22,7 +22,6 @@ from .shard import ShardError
 from .tier import (
     CompactionReport,
     HotTier,
-    IncrementalScrubber,
     PlacementManifest,
     RebalanceReport,
     TieredStore,
@@ -49,7 +48,6 @@ __all__ = [
     "HotTier",
     "RebalanceReport",
     "CompactionReport",
-    "IncrementalScrubber",
     "compact_checkpoints",
     "init_tier",
     "open_store",

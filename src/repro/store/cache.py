@@ -52,7 +52,13 @@ from .shard import (
     encode_trace_shard,
 )
 
-__all__ = ["ConnStore", "CachedDataset", "GcReport", "DEFAULT_TMP_GRACE"]
+__all__ = [
+    "ConnStore",
+    "CachedDataset",
+    "GcReport",
+    "DEFAULT_TMP_GRACE",
+    "manifest_references",
+]
 
 _OBJECT_SUFFIX = ".rcs"
 _TMP_SUFFIX = ".tmp"
@@ -69,6 +75,22 @@ DAEMON_DIR = "daemon"
 #: plausible stall, yet short enough that real debris is still swept by
 #: the next maintenance pass.
 DEFAULT_TMP_GRACE = 300.0
+
+
+def manifest_references(payload: dict) -> tuple[str, ...]:
+    """Every object digest one manifest payload references.
+
+    A generation-key alias references nothing of its own; a streaming
+    checkpoint references its state shard and result batches; a dataset
+    manifest its dataset shard and one shard per trace.
+    """
+    if "ref" in payload:
+        return ()
+    if payload.get("kind") == "checkpoint":
+        return (payload["state"], *payload.get("batches", ()))
+    digests = [payload["dataset_shard"]] if "dataset_shard" in payload else []
+    digests.extend(entry["shard"] for entry in payload.get("traces", ()))
+    return tuple(digests)
 
 
 @dataclass(frozen=True)
@@ -202,7 +224,7 @@ class ConnStore:
     # -- multi-root hooks --------------------------------------------------
     #
     # Everything that walks the object tree (gc, stats, scrub) goes
-    # through these three, so a tiered store (repro.store.tier) can
+    # through these hooks, so a tiered store (repro.store.tier) can
     # spread objects over several roots by overriding them alone.  The
     # flat store's answers keep it byte-identical to its historical
     # single-directory behavior.
@@ -235,6 +257,10 @@ class ConnStore:
 
     def _object_path(self, digest: str) -> Path:
         return self.objects_dir / digest[:2] / f"{digest}{_OBJECT_SUFFIX}"
+
+    def _candidate_paths(self, digest: str) -> list[Path]:
+        """Everywhere a copy of the digest could live (one place here)."""
+        return [self._object_path(digest)]
 
     def put_object(self, data: bytes) -> str:
         """Store shard bytes under their own digest; returns the digest.
@@ -500,13 +526,38 @@ class ConnStore:
         run could never resume.
         """
         referenced: set[str] = set()
-        for manifest in self.manifests():
-            referenced.add(manifest["dataset_shard"])
-            referenced.update(entry["shard"] for entry in manifest["traces"])
-        for checkpoint in self.checkpoints():
-            referenced.add(checkpoint["state"])
-            referenced.update(checkpoint.get("batches", ()))
+        for payload in self._raw_manifests():
+            referenced.update(manifest_references(payload))
         return referenced
+
+    def tmp_census(
+        self, tmp_grace_s: float = DEFAULT_TMP_GRACE
+    ) -> tuple[list[tuple[Path, int]], int]:
+        """Every ``.tmp`` file writers left behind, split by age.
+
+        Temp files survive a publish only when their writer crashed — or
+        when the writer is alive and mid-flight right now, which only
+        the file's age can distinguish.  Returns ``(stale, in_flight)``:
+        the (path, size) of each file at least ``tmp_grace_s`` seconds
+        old (every file when the grace is 0), and the count of younger
+        ones.  This is the one staleness rule gc and scrub share.
+        """
+        now = time.time()
+        stale: list[tuple[Path, int]] = []
+        in_flight = 0
+        for base in (*self.object_dirs(), *self.manifest_dirs(), self.root / DAEMON_DIR):
+            if not base.is_dir():
+                continue
+            for path in sorted(base.rglob(f"*{_TMP_SUFFIX}")):
+                try:
+                    stat = path.stat()
+                except FileNotFoundError:
+                    continue  # published (renamed away) mid-walk
+                if tmp_grace_s > 0 and now - stat.st_mtime < tmp_grace_s:
+                    in_flight += 1
+                else:
+                    stale.append((path, stat.st_size))
+        return stale, in_flight
 
     def gc(
         self, dry_run: bool = False, tmp_grace_s: float = DEFAULT_TMP_GRACE
@@ -525,10 +576,7 @@ class ConnStore:
         """
         referenced = self.referenced_objects()
         removed: list[str] = []
-        stale_tmp = 0
-        in_flight = 0
         reclaimed = 0
-        now = time.time()
         for path in self._object_files():
             digest = path.stem
             if digest not in referenced:
@@ -536,27 +584,11 @@ class ConnStore:
                 if not dry_run:
                     path.unlink()
                 removed.append(digest)
-        # Temp files survive a publish only when its writer crashed —
-        # or when the writer is alive and mid-flight right now, which
-        # only the file's age can distinguish.
-        for base in (*self.object_dirs(), *self.manifest_dirs(), self.root / DAEMON_DIR):
-            if not base.is_dir():
-                continue
-            for path in sorted(base.rglob(f"*{_TMP_SUFFIX}")):
-                try:
-                    stat = path.stat()
-                except FileNotFoundError:
-                    continue  # published (renamed away) mid-walk
-                if tmp_grace_s > 0 and now - stat.st_mtime < tmp_grace_s:
-                    in_flight += 1
-                    continue
-                stale_tmp += 1
-                reclaimed += stat.st_size
-                if not dry_run:
-                    try:
-                        path.unlink()
-                    except FileNotFoundError:
-                        pass
+        stale, in_flight = self.tmp_census(tmp_grace_s)
+        for path, size in stale:
+            reclaimed += size
+            if not dry_run:
+                path.unlink(missing_ok=True)
         if not dry_run:
             for directory in self.object_dirs():
                 if not directory.is_dir():
@@ -566,7 +598,7 @@ class ConnStore:
                         bucket.rmdir()
         return GcReport(
             removed=tuple(removed),
-            stale_tmp=stale_tmp,
+            stale_tmp=len(stale),
             reclaimed_bytes=reclaimed,
             dry_run=dry_run,
             in_flight_tmp=in_flight,

@@ -5,19 +5,28 @@ CRC footers turn any flipped bit into a :class:`~repro.store.shard.ShardError`
 at load time, and the tolerant policies fall back to a cold re-parse.
 What they cannot do is *fix* the store: a damaged shard stays on disk,
 poisoning every future warm start of its dataset.  This module closes
-that loop with two offline passes:
+that loop with two passes:
 
-**Scrub** (:class:`StoreScrubber.scrub`) walks every shard object and
-every manifest.  An object whose bytes no longer hash to its own name,
+**Scrub** (:class:`StoreScrubber`) walks every shard object and every
+manifest.  An object whose bytes no longer hash to its own name,
 or whose RCS1 frame fails to verify, is *quarantined*: moved out of the
 objects tree into ``<root>/quarantine/<error-kind>/`` (the PR-1
 :class:`~repro.analysis.errors.ErrorKind` taxonomy names the
 subdirectory) next to a JSON sidecar recording what was wrong.  An
 unparseable manifest is quarantined the same way.  Manifests that parse
-but reference objects which are missing — or were just quarantined —
-are reported as damaged; checkpoint manifests whose state shard is gone
-are unresumable and quarantined outright.  Stale ``.tmp`` files are
-counted (informationally; ``store gc`` removes them).
+but reference objects which are missing — or whose every copy was just
+found corrupt — are reported as damaged; checkpoint manifests whose
+state shard is gone are unresumable and quarantined outright.  Stale
+``.tmp`` files are counted (informationally; ``store gc`` removes them).
+
+There is one scrubber, walking three phases (objects → manifests → tmp)
+driven by a progress cursor.  :meth:`StoreScrubber.step` advances the
+cursor by a bounded number of items and persists it as
+``scrub-cursor.json`` at the primary root (published through the fsio
+seam), so a background task can be paused, rescheduled or killed
+anywhere and resume where it stopped; :meth:`StoreScrubber.scrub` is
+the same walk run to completion on an in-memory cursor.  Both fold into
+the same :class:`ScrubReport`, so the CLI renders them identically.
 
 **Repair** (:class:`StoreScrubber.repair`) re-derives damaged dataset
 manifests from their source traces.  Every analysis manifest written by
@@ -50,27 +59,66 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 from ..analysis.errors import ErrorKind
 from ..chaos import fsio
 from ..gen.capture import DatasetTraces, TapWindow, Trace
 from ..gen.datasets import DATASETS
-from .cache import (
-    ConnStore,
-    DAEMON_DIR,
-    DEFAULT_TMP_GRACE,
-    _OBJECT_SUFFIX,
-    _TMP_SUFFIX,
-)
+from .cache import ConnStore, DEFAULT_TMP_GRACE, _OBJECT_SUFFIX, manifest_references
 from .shard import ShardError, decode_shard
 
-__all__ = ["ScrubFinding", "ScrubReport", "RepairOutcome", "StoreScrubber"]
+__all__ = [
+    "CURSOR_FILE",
+    "ScrubFinding",
+    "ScrubReport",
+    "RepairOutcome",
+    "StoreScrubber",
+]
 
 #: Subdirectory of the store root holding quarantined files.
 QUARANTINE_DIR = "quarantine"
+
+#: Progress-cursor filename at the primary store root.
+CURSOR_FILE = "scrub-cursor.json"
+
+_PHASES = ("objects", "manifests", "tmp", "done")
+
+
+def _fresh_cursor() -> dict:
+    return {
+        "schema": 1,
+        "phase": "objects",
+        "after": None,
+        "objects_checked": 0,
+        "manifests_checked": 0,
+        "corrupt_objects": [],
+        "corrupt_manifests": [],
+        "dead_checkpoints": [],
+        "missing_refs": {},
+        "stale_tmp": 0,
+        "in_flight_tmp": 0,
+        "replica_target": 1,
+        "under_replicated": {},
+        "under_replicated_manifests": {},
+        # Streaming replica counter: the digest whose copies the objects
+        # phase is mid-way through counting when a budget boundary (or a
+        # crash) lands between two copies of it.
+        "pending_digest": None,
+        "pending_copies": 0,
+        # Digests whose every copy failed verification this cycle; an
+        # audit leaves them in place, and the manifests phase must still
+        # count them as missing.
+        "rotten_digests": [],
+    }
+
+
+def _walk_key(path: Path) -> list[str]:
+    # Digest first so the watermark is stable across roots; the full
+    # path breaks ties when a duplicate copy exists at two roots.
+    return [path.name, str(path)]
 
 
 @dataclass(frozen=True)
@@ -196,11 +244,13 @@ class RepairOutcome:
 
 
 class StoreScrubber:
-    """Offline integrity walker and repairer for one :class:`ConnStore`."""
+    """Integrity walker and repairer for one :class:`ConnStore`: run in
+    one sitting (:meth:`scrub`) or in resumable bounded steps
+    (:meth:`step`, :meth:`run`)."""
 
     def __init__(self, store: ConnStore) -> None:
         self.store = store
-        self.quarantine_root = store.root / QUARANTINE_DIR
+        self.cursor_path = store.root / CURSOR_FILE
 
     # -- quarantine --------------------------------------------------------
 
@@ -235,6 +285,28 @@ class StoreScrubber:
         )
         return str(target.relative_to(owner))
 
+    # -- cursor ------------------------------------------------------------
+
+    def cursor(self) -> dict:
+        """The persisted cursor, or a fresh one for a new cycle."""
+        try:
+            payload = json.loads(fsio.read_bytes(self.cursor_path).decode("utf-8"))
+        except (OSError, ValueError):
+            return _fresh_cursor()
+        if payload.get("phase") not in _PHASES:
+            return _fresh_cursor()
+        for key, value in _fresh_cursor().items():
+            payload.setdefault(key, value)  # cursors from older cycles
+        return payload
+
+    def _save(self, cursor: dict) -> None:
+        text = json.dumps(cursor, sort_keys=True, indent=1) + "\n"
+        fsio.publish_text(self.cursor_path, text, tmp_prefix=".scrub-")
+
+    def reset(self) -> None:
+        """Start the next scrub cycle from the beginning."""
+        self.cursor_path.unlink(missing_ok=True)
+
     # -- scrub -------------------------------------------------------------
 
     def _check_object(self, path: Path) -> ShardError | None:
@@ -266,115 +338,205 @@ class StoreScrubber:
     ) -> ScrubReport:
         """Walk the whole store; optionally quarantine what is damaged.
 
+        The stepped walk run to completion: a fresh in-memory cursor is
+        advanced with no budget until its cycle is done.  The persisted
+        cursor is neither read nor written, so a one-shot scrub beside a
+        daemon's maintenance cycle leaves that cycle where it was.
+
         With ``quarantine=False`` this is a pure audit — nothing moves,
         the report just says what *would* be quarantined.  Temp files
         younger than ``tmp_grace_s`` seconds are reported as in-flight
         (a live daemon's publishes), not stale — same rule as
         :meth:`ConnStore.gc`.
         """
-        store = self.store
-        report = ScrubReport()
-        placement = getattr(store, "placement", None)
-        report.replica_target = (
+        cursor = _fresh_cursor()
+        while cursor["phase"] != "done":
+            self._advance(cursor, None, quarantine, tmp_grace_s)
+        return self.report(cursor)
+
+    def step(
+        self,
+        budget: int = 250,
+        quarantine: bool = True,
+        tmp_grace_s: float = DEFAULT_TMP_GRACE,
+    ) -> dict:
+        """Verify up to ``budget`` items, persist the cursor, return it.
+
+        A completed cycle parks the cursor at phase ``done``; calling
+        :meth:`step` on a done cursor starts a new cycle (integrity is
+        a rolling concern, not a one-shot).
+        """
+        cursor = self.cursor()
+        if cursor["phase"] == "done":
+            cursor = _fresh_cursor()
+        self._advance(cursor, budget, quarantine, tmp_grace_s)
+        self._save(cursor)
+        return cursor
+
+    def run(
+        self,
+        budget: int = 250,
+        quarantine: bool = True,
+        tmp_grace_s: float = DEFAULT_TMP_GRACE,
+        max_steps: int = 0,
+    ) -> dict:
+        """Step until the cycle completes (or ``max_steps`` is hit)."""
+        steps = 0
+        while True:
+            cursor = self.step(budget, quarantine, tmp_grace_s)
+            steps += 1
+            if cursor["phase"] == "done" or (max_steps and steps >= max_steps):
+                return cursor
+
+    # -- phases ------------------------------------------------------------
+
+    def _advance(
+        self, cursor: dict, budget: int | None, quarantine: bool, tmp_grace_s: float
+    ) -> None:
+        """Run the cursor's phase for up to ``budget`` items (``None``:
+        unbounded).  The tmp phase is one census and always completes,
+        so it rides along with whichever phase finished before it."""
+        placement = getattr(self.store, "placement", None)
+        cursor["replica_target"] = (
             placement.effective_replicas() if placement is not None else 1
         )
-        # Pass 1: every shard object self-verifies (across every root —
-        # a tiered store's secondary roots are walked the same way).
-        # Verified copies are *counted* per digest so the report can
-        # name every object short of the replica target.
-        copies: dict[str, int] = {}
-        present: set[str] = set()
-        for path in store._object_files():
-            report.objects_checked += 1
+        if cursor["phase"] == "objects":
+            self._step_objects(cursor, budget, quarantine)
+        elif cursor["phase"] == "manifests":
+            self._step_manifests(cursor, budget, quarantine)
+        if cursor["phase"] == "tmp":
+            # Count (never touch) temp files; `store gc` removes the stale.
+            stale, in_flight = self.store.tmp_census(tmp_grace_s)
+            cursor["stale_tmp"] = len(stale)
+            cursor["in_flight_tmp"] = in_flight
+            cursor["phase"] = "done"
+
+    def _record(
+        self, cursor: dict, field_name: str, path: Path, kind: str, detail: str,
+        quarantine: bool,
+    ) -> None:
+        """Add one finding to the cursor, quarantining the file unless
+        this is an audit."""
+        rel = str(path.relative_to(self.store.owning_root(path)))
+        destination = self._quarantine(path, kind, detail) if quarantine else ""
+        cursor[field_name].append(
+            {"kind": kind, "path": rel, "detail": detail, "quarantined_to": destination}
+        )
+
+    @staticmethod
+    def _close_run(cursor: dict) -> None:
+        """Close the streaming copy count for the digest just walked: no
+        verified copy makes it rotten, too few makes it under-replicated."""
+        digest = cursor["pending_digest"]
+        if digest is not None:
+            copies = cursor["pending_copies"]
+            if copies == 0:
+                cursor["rotten_digests"].append(digest)
+            elif copies < cursor["replica_target"]:
+                cursor["under_replicated"][digest] = copies
+        cursor["pending_digest"] = None
+        cursor["pending_copies"] = 0
+
+    @staticmethod
+    def _walk(
+        cursor: dict, paths: list[Path], budget: int | None, next_phase: str
+    ) -> Iterator[Path]:
+        """Yield up to ``budget`` of ``paths`` (``None``: all) past the
+        cursor's watermark, advancing it; once every path is walked,
+        move the cursor on to ``next_phase``."""
+        after = cursor["after"]
+        checked = 0
+        for path in paths:
+            key = _walk_key(path)
+            if after is not None and key <= after:
+                continue
+            if budget is not None and checked >= budget:
+                return
+            checked += 1
+            cursor["after"] = key
+            yield path
+        cursor["phase"] = next_phase
+        cursor["after"] = None
+
+    def _step_objects(self, cursor: dict, budget: int | None, quarantine: bool) -> None:
+        """Every shard object self-verifies, across every root."""
+        files = sorted(self.store._object_files(), key=_walk_key)
+        for path in self._walk(cursor, files, budget, "manifests"):
+            cursor["objects_checked"] += 1
+            # Copies of one digest are adjacent in the walk (the key
+            # leads with the filename), so counting verified copies per
+            # digest is a run-length that survives step boundaries.
+            if cursor["pending_digest"] != path.stem:
+                self._close_run(cursor)
+                cursor["pending_digest"] = path.stem
             error = self._check_object(path)
             if error is None:
-                present.add(path.stem)
-                copies[path.stem] = copies.get(path.stem, 0) + 1
-                continue
-            kind = error.kind.value
-            rel = str(path.relative_to(store.owning_root(path)))
-            destination = (
-                self._quarantine(path, kind, error.detail) if quarantine else ""
-            )
-            report.corrupt_objects.append(
-                ScrubFinding(kind, rel, error.detail, destination)
-            )
-        if report.replica_target > 1:
-            report.under_replicated = {
-                digest: count
-                for digest, count in sorted(copies.items())
-                if count < report.replica_target
-            }
-        # Pass 2: every manifest parses and its references resolve; on a
-        # replicated store each must also have byte-identical mirrors.
-        if store.manifests_dir.is_dir():
-            for path in sorted(store.manifests_dir.glob("*.json")):
-                report.manifests_checked += 1
-                rel = str(path.relative_to(store.root))
-                try:
-                    text = fsio.read_bytes(path).decode("utf-8")
-                    payload = json.loads(text)
-                    if not isinstance(payload, dict):
-                        raise ValueError(f"not a JSON object: {type(payload).__name__}")
-                except (OSError, ValueError) as exc:
-                    kind = ErrorKind.DECODE_ERROR.value
-                    destination = (
-                        self._quarantine(path, kind, str(exc)) if quarantine else ""
-                    )
-                    report.corrupt_manifests.append(
-                        ScrubFinding(kind, rel, str(exc), destination)
-                    )
-                    continue
-                if report.replica_target > 1:
-                    found = 1 + sum(
-                        1
-                        for _, mirror in store.mirror_paths(path.stem)
-                        if self._mirror_matches(mirror, text)
-                    )
-                    if found < report.replica_target:
-                        report.under_replicated_manifests[path.stem] = found
-                if "ref" in payload:
-                    continue  # gen-key alias: nothing to resolve here
-                missing = tuple(
-                    digest
-                    for digest in self._referenced(payload)
-                    if digest not in present
+                cursor["pending_copies"] += 1
+            else:
+                self._record(
+                    cursor, "corrupt_objects", path, error.kind.value,
+                    error.detail, quarantine,
                 )
-                if not missing:
-                    continue
-                if payload.get("kind") == "checkpoint" and payload["state"] in missing:
-                    # Without its state shard the checkpoint can never
-                    # resume; keeping the manifest would pin dead batch
-                    # objects through every future gc.
-                    detail = f"state shard {payload['state'][:12]}… missing"
-                    destination = (
-                        self._quarantine(path, ErrorKind.TRUNCATED_BODY.value, detail)
-                        if quarantine
-                        else ""
-                    )
-                    report.dead_checkpoints.append(
-                        ScrubFinding(
-                            ErrorKind.TRUNCATED_BODY.value, rel, detail, destination
-                        )
-                    )
-                    continue
-                report.missing_refs[payload.get("key", path.stem)] = missing
-        # Pass 3: count (never touch) temp files from crashed writers,
-        # splitting out a live writer's in-flight publishes by age.
-        now = time.time()
-        for base in (*store.object_dirs(), *store.manifest_dirs(), store.root / DAEMON_DIR):
-            if not base.is_dir():
+        if cursor["phase"] == "manifests":
+            self._close_run(cursor)
+
+    def _step_manifests(
+        self, cursor: dict, budget: int | None, quarantine: bool
+    ) -> None:
+        """Every manifest parses and its references resolve; on a
+        replicated store each must also have byte-identical mirrors.
+
+        A referenced digest is missing when no copy of it exists, or
+        when every existing copy was found corrupt this cycle — the
+        second case is an audit's, where corrupt copies stay in place.
+        """
+        store = self.store
+        rotten = set(cursor["rotten_digests"])
+        paths = (
+            sorted(store.manifests_dir.glob("*.json"))
+            if store.manifests_dir.is_dir()
+            else []
+        )
+        for path in self._walk(cursor, paths, budget, "tmp"):
+            cursor["manifests_checked"] += 1
+            try:
+                text = fsio.read_bytes(path).decode("utf-8")
+                payload = json.loads(text)
+                if not isinstance(payload, dict):
+                    raise ValueError(f"not a JSON object: {type(payload).__name__}")
+            except (OSError, ValueError) as exc:
+                self._record(
+                    cursor, "corrupt_manifests", path,
+                    ErrorKind.DECODE_ERROR.value, str(exc), quarantine,
+                )
                 continue
-            for path in base.rglob(f"*{_TMP_SUFFIX}"):
-                try:
-                    mtime = path.stat().st_mtime
-                except FileNotFoundError:
-                    continue  # published (renamed away) mid-walk
-                if tmp_grace_s > 0 and now - mtime < tmp_grace_s:
-                    report.in_flight_tmp += 1
-                else:
-                    report.stale_tmp += 1
-        return report
+            if cursor["replica_target"] > 1:
+                found = 1 + sum(
+                    1
+                    for _, mirror in store.mirror_paths(path.stem)
+                    if self._mirror_matches(mirror, text)
+                )
+                if found < cursor["replica_target"]:
+                    cursor["under_replicated_manifests"][path.stem] = found
+            missing = [
+                digest
+                for digest in manifest_references(payload)
+                if digest in rotten
+                or not any(copy.exists() for copy in store._candidate_paths(digest))
+            ]
+            if not missing:
+                continue
+            if payload.get("kind") == "checkpoint" and payload["state"] in missing:
+                # Without its state shard the checkpoint can never
+                # resume; keeping the manifest would pin dead batch
+                # objects through every future gc.
+                self._record(
+                    cursor, "dead_checkpoints", path,
+                    ErrorKind.TRUNCATED_BODY.value,
+                    f"state shard {payload['state'][:12]}… missing", quarantine,
+                )
+                continue
+            cursor["missing_refs"][payload.get("key", path.stem)] = missing
 
     @staticmethod
     def _mirror_matches(path: Path, text: str) -> bool:
@@ -384,14 +546,36 @@ class StoreScrubber:
         except (OSError, UnicodeDecodeError):
             return False
 
-    @staticmethod
-    def _referenced(payload: dict) -> tuple[str, ...]:
-        """Every object digest one manifest payload references."""
-        if payload.get("kind") == "checkpoint":
-            return (payload["state"], *payload.get("batches", ()))
-        digests = [payload["dataset_shard"]] if "dataset_shard" in payload else []
-        digests.extend(entry["shard"] for entry in payload.get("traces", ()))
-        return tuple(digests)
+    # -- reporting ---------------------------------------------------------
+
+    def report(self, cursor: dict | None = None) -> ScrubReport:
+        """Fold a cursor (the persisted one by default) into a report."""
+        cursor = cursor if cursor is not None else self.cursor()
+
+        def findings(rows: list[dict]) -> list[ScrubFinding]:
+            return [
+                ScrubFinding(
+                    row["kind"], row["path"], row["detail"], row["quarantined_to"]
+                )
+                for row in rows
+            ]
+
+        return ScrubReport(
+            objects_checked=cursor["objects_checked"],
+            manifests_checked=cursor["manifests_checked"],
+            corrupt_objects=findings(cursor["corrupt_objects"]),
+            corrupt_manifests=findings(cursor["corrupt_manifests"]),
+            missing_refs={
+                key: tuple(values)
+                for key, values in cursor["missing_refs"].items()
+            },
+            dead_checkpoints=findings(cursor["dead_checkpoints"]),
+            stale_tmp=cursor["stale_tmp"],
+            in_flight_tmp=cursor["in_flight_tmp"],
+            replica_target=cursor["replica_target"],
+            under_replicated=dict(cursor["under_replicated"]),
+            under_replicated_manifests=dict(cursor["under_replicated_manifests"]),
+        )
 
     # -- repair ------------------------------------------------------------
 
@@ -448,9 +632,9 @@ class StoreScrubber:
                 key, analysis, traces, digests, repair=recipe
             )
             restored = tuple(
-                digest for digest in self._referenced(rebuilt) if digest in missing
+                digest for digest in manifest_references(rebuilt) if digest in missing
             )
-            still_missing = set(missing) - set(self._referenced(rebuilt))
+            still_missing = set(missing) - set(manifest_references(rebuilt))
             if still_missing:
                 outcomes.append(
                     RepairOutcome(

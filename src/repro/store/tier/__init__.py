@@ -1,4 +1,4 @@
-"""Tiered multi-root storage: placement, hot cache, compaction, scrub.
+"""Tiered multi-root storage: placement, hot cache, compaction.
 
 See ``docs/store.md`` (§ tiering) for the operational story.  The short
 version: ``init_tier`` stamps a placement manifest onto a store root,
@@ -10,7 +10,6 @@ from .compact import CompactionReport, compact_checkpoints
 from .health import QUEUE_FILE, HealthTracker, UnderReplicatedQueue
 from .hotcache import HotTier
 from .placement import BUCKETS, DEFAULT_HOT_BYTES, TIER_MANIFEST, PlacementManifest
-from .scrub import CURSOR_FILE, IncrementalScrubber
 from .store import (
     RebalanceReport,
     ReplicaRepairReport,
@@ -21,12 +20,10 @@ from .store import (
 
 __all__ = [
     "BUCKETS",
-    "CURSOR_FILE",
     "CompactionReport",
     "DEFAULT_HOT_BYTES",
     "HealthTracker",
     "HotTier",
-    "IncrementalScrubber",
     "PlacementManifest",
     "QUEUE_FILE",
     "RebalanceReport",

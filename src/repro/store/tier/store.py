@@ -38,7 +38,12 @@ from pathlib import Path
 
 from ...analysis.errors import ErrorKind
 from ...chaos import fsio
-from ..cache import ConnStore, DEFAULT_TMP_GRACE, _OBJECT_SUFFIX
+from ..cache import (
+    ConnStore,
+    DEFAULT_TMP_GRACE,
+    _OBJECT_SUFFIX,
+    manifest_references,
+)
 from ..shard import ShardError
 from .health import HealthTracker, UnderReplicatedQueue
 from .hotcache import HotTier
@@ -411,16 +416,7 @@ class TieredStore(ConnStore):
                     payload = json.loads(fsio.read_bytes(path).decode("utf-8"))
                 except (OSError, ValueError):
                     continue
-                if "ref" in payload:
-                    continue
-                if payload.get("kind") == "checkpoint":
-                    referenced.add(payload["state"])
-                    referenced.update(payload.get("batches", ()))
-                elif "dataset_shard" in payload:
-                    referenced.add(payload["dataset_shard"])
-                    referenced.update(
-                        entry["shard"] for entry in payload.get("traces", ())
-                    )
+                referenced.update(manifest_references(payload))
         return referenced
 
     def gc(self, dry_run: bool = False, tmp_grace_s: float = DEFAULT_TMP_GRACE):

@@ -15,7 +15,8 @@ import time
 import pytest
 
 from repro.analysis.errors import ErrorKind, ErrorPolicy
-from repro.store import ConnStore, ShardError, StoreScrubber
+from repro.store import ConnStore, ShardError
+from repro.store.scrub import StoreScrubber
 from repro.store.shard import DatasetShard, encode_dataset_shard
 
 

@@ -18,12 +18,13 @@ import pytest
 
 from repro.chaos import FaultKind, FaultPlane, FaultRule, active
 from repro.service.app import store_state_token
-from repro.store import ConnFilter, ConnStore, StoreQuery, StoreScrubber
+from repro.store import ConnFilter, ConnStore, StoreQuery
 from repro.store.query import GROUP_DIMENSIONS
+from repro.store.scrub import StoreScrubber
+from repro.store.scrub import StoreScrubber as IncrementalScrubber
 from repro.store.shard import ShardError, encode_shard
 from repro.store.tier import (
     BUCKETS,
-    IncrementalScrubber,
     PlacementManifest,
     init_tier,
     open_store,

@@ -19,7 +19,8 @@ from repro.core.cli import main
 from repro.core.study import analyze_dataset
 from repro.gen.capture import generate_dataset
 from repro.gen.topology import Enterprise, Role
-from repro.store import ConnStore, StoreScrubber
+from repro.store import ConnStore
+from repro.store.scrub import StoreScrubber
 
 _SEED = 5
 

@@ -10,11 +10,16 @@ pass.
 from __future__ import annotations
 
 import shutil
+from dataclasses import asdict
 
 import pytest
 
-from repro.store import ConnStore, IncrementalScrubber, StoreScrubber
-from repro.store.tier import CURSOR_FILE, init_tier
+from repro.store import ConnStore
+from repro.store.cache import manifest_references
+from repro.store.scrub import CURSOR_FILE, StoreScrubber
+from repro.store.scrub import StoreScrubber as IncrementalScrubber
+from repro.store.tier import init_tier
+from test_store_replica import replica_store
 
 
 @pytest.fixture()
@@ -61,19 +66,86 @@ def test_cursor_resumes_across_instances_without_rechecking(stocked):
     assert IncrementalScrubber(stocked).report(cursor).ok
 
 
-def test_findings_match_the_one_shot_scrubber(stocked):
-    victims = sorted(stocked._object_files())[:2]
-    for index, path in enumerate(victims):
-        data = bytearray(path.read_bytes())
-        data[30 + index] ^= 0xFF
-        path.write_bytes(bytes(data))
-    expected = StoreScrubber(ConnStore(stocked.root)).scrub(quarantine=False)
+def _copies(store, digest) -> list:
+    return [path for path in store._candidate_paths(digest) if path.exists()]
+
+
+def _flip(path, offset: int = 30) -> None:
+    data = bytearray(path.read_bytes())
+    data[offset % len(data)] ^= 0xFF
+    path.write_bytes(bytes(data))
+
+
+def _damaged_store(kind: str, study_root, base):
+    """A flat copy of the study store, or a fresh 3-root R=2 tier, with
+    one of each defect: a corrupt object (every copy), an unparseable
+    manifest, a dead checkpoint and one deleted object copy."""
+    if kind == "flat":
+        shutil.copytree(study_root, base / "store")
+        store = ConnStore(base / "store")
+    else:
+        store, bodies = replica_store(base)
+        digests = sorted(bodies)
+        store.manifests_dir.mkdir()
+        store._write_manifest(
+            "k" * 64,
+            {
+                "key": "k" * 64,
+                "dataset_shard": digests[0],
+                "traces": [{"shard": digest} for digest in digests[1:4]],
+            },
+        )
+        store._write_manifest("gen-" + "k" * 64, {"ref": "k" * 64})
+    manifest = next(store.manifests())
+    corrupt, deleted = manifest_references(manifest)[:2]
+    for path in _copies(store, corrupt):
+        _flip(path)
+    _copies(store, deleted)[-1].unlink()
+    alias = sorted(store.manifests_dir.glob("gen-*.json"))[0]
+    alias.write_text("{not json", encoding="utf-8")
+    store._write_manifest(
+        "ckpt-dead",
+        {"kind": "checkpoint", "key": "ckpt-dead", "state": "0" * 64, "batches": []},
+    )
+    return store
+
+
+@pytest.mark.parametrize("budget", [1, 4])
+@pytest.mark.parametrize("quarantine", [False, True], ids=["audit", "quarantine"])
+@pytest.mark.parametrize("kind", ["flat", "tiered"])
+def test_findings_match_the_one_shot_scrubber(
+    store_study, tmp_path, kind, quarantine, budget
+):
+    _, study_root = store_study
+    one_shot = _damaged_store(kind, study_root, tmp_path / "one-shot")
+    expected = StoreScrubber(one_shot).scrub(quarantine=quarantine)
+    assert not (one_shot.root / CURSOR_FILE).exists()
+    assert expected.corrupt_objects and expected.corrupt_manifests
+    assert expected.dead_checkpoints and expected.missing_refs
+
+    stepped = _damaged_store(kind, study_root, tmp_path / "stepped")
+    scrubber = IncrementalScrubber(stepped)
+    cursor = scrubber.step(budget=budget, quarantine=quarantine)
+    assert cursor["phase"] != "done"
+    # A one-shot scrub beside a mid-cycle background cycle leaves it be.
+    saved = (stepped.root / CURSOR_FILE).read_bytes()
+    StoreScrubber(stepped).scrub(quarantine=False)
+    assert (stepped.root / CURSOR_FILE).read_bytes() == saved
+    report = scrubber.report(scrubber.run(budget=budget, quarantine=quarantine))
+    assert asdict(report) == asdict(expected)
+    assert report.render() == expected.render()
+
+
+def test_audit_counts_an_object_with_no_healthy_copy_as_missing(stocked):
+    manifest = next(stocked.manifests())
+    victim = stocked._object_path(manifest["dataset_shard"])
+    _flip(victim)
     scrubber = IncrementalScrubber(stocked)
     report = scrubber.report(scrubber.run(budget=4, quarantine=False))
-    assert not report.ok
-    assert {f.path for f in report.corrupt_objects} == {
-        f.path for f in expected.corrupt_objects
-    }
+    assert victim.exists()  # an audit moves nothing
+    assert report.missing_refs == {manifest["key"]: (manifest["dataset_shard"],)}
+    one_shot = StoreScrubber(stocked).scrub(quarantine=False)
+    assert report.missing_refs == one_shot.missing_refs
 
 
 def test_incremental_quarantine_moves_the_corrupt_object(stocked):

@@ -25,8 +25,9 @@ from repro.chaos.faults import CRASH_EXIT_CODE
 from repro.gen.capture import generate_dataset
 from repro.gen.topology import ENTERPRISE_NET, Enterprise
 from repro.service.app import store_state_token
-from repro.store import ConnFilter, StoreQuery, StoreScrubber, compact_checkpoints
+from repro.store import ConnFilter, StoreQuery, compact_checkpoints
 from repro.store.query import GROUP_DIMENSIONS
+from repro.store.scrub import StoreScrubber
 from repro.store.tier import init_tier, open_store
 from repro.stream.checkpoint import StreamCheckpointer, decode_result_batch
 from repro.stream.engine import StreamConfig, StreamDatasetAnalyzer
