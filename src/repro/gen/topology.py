@@ -86,8 +86,12 @@ class EnterpriseSubnet:
 
     @property
     def workstations(self) -> list[Host]:
-        """Hosts usable as ordinary clients."""
-        return [host for host in self.hosts if Role.WORKSTATION in host.roles]
+        """Hosts usable as ordinary clients: all of them.
+
+        Every host starts as a workstation and server placement only adds
+        roles, so no scan is needed per client pick.
+        """
+        return self.hosts
 
     def servers(self, role: Role) -> list[Host]:
         """Hosts on this subnet holding ``role``."""

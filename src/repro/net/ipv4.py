@@ -10,8 +10,10 @@ import struct
 from dataclasses import dataclass, field
 
 from .checksum import internet_checksum
+from .ethernet import ETH_HEADER_LEN, ETHERTYPE_IPV4
 
 __all__ = [
+    "FRAME_HEADER_LEN",
     "IPV4_HEADER_LEN",
     "PROTO_ICMP",
     "PROTO_IGMP",
@@ -22,6 +24,7 @@ __all__ = [
     "PROTO_PIM",
     "PROTO_UNIDENTIFIED_224",
     "Ipv4Packet",
+    "encode_frame_header",
 ]
 
 IPV4_HEADER_LEN = 20
@@ -36,6 +39,56 @@ PROTO_PIM = 103
 PROTO_UNIDENTIFIED_224 = 224  # the paper's "IP protocol 224 (unidentified)"
 
 _HEADER = struct.Struct("!BBHHHBBH4s4s")
+
+#: An Ethernet II header (each MAC as a 16-bit and a 32-bit half) followed
+#: by an option-less IPv4 header whose checksum field is packed as zero.
+_FRAME_HEADER = struct.Struct("!HIHIHBBHHHBBHII")
+
+#: Bytes of Ethernet II + IPv4 header in front of every IPv4 frame.
+FRAME_HEADER_LEN = ETH_HEADER_LEN + IPV4_HEADER_LEN
+
+_CHECKSUM_AT = ETH_HEADER_LEN + 10  # offset of the IPv4 header checksum
+
+
+def encode_frame_header(
+    src_mac: int,
+    dst_mac: int,
+    src_ip: int,
+    dst_ip: int,
+    proto: int,
+    payload_len: int,
+    ttl: int = 64,
+    ident: int = 0,
+    dscp: int = 0,
+    flags_df: bool = True,
+) -> bytes:
+    """The Ethernet II + IPv4 header of a frame carrying ``payload_len``
+    bytes of IP payload, with a correct IPv4 header checksum.
+
+    Every IPv4 frame the generator emits starts with these
+    :data:`FRAME_HEADER_LEN` bytes, so they are packed in one call.
+    """
+    header = _FRAME_HEADER.pack(
+        dst_mac >> 32,
+        dst_mac & 0xFFFFFFFF,
+        src_mac >> 32,
+        src_mac & 0xFFFFFFFF,
+        ETHERTYPE_IPV4,
+        (4 << 4) | 5,  # version 4, IHL 5
+        dscp << 2,
+        IPV4_HEADER_LEN + payload_len,
+        ident & 0xFFFF,
+        0x4000 if flags_df else 0,
+        ttl,
+        proto,
+        0,  # checksum placeholder
+        src_ip,
+        dst_ip,
+    )
+    checksum = internet_checksum(header[ETH_HEADER_LEN:])
+    return b"".join(
+        (header[:_CHECKSUM_AT], checksum.to_bytes(2, "big"), header[_CHECKSUM_AT + 2 :])
+    )
 
 
 @dataclass(frozen=True)
@@ -58,22 +111,11 @@ class Ipv4Packet:
 
     def encode(self) -> bytes:
         """Serialize header + payload with a correct header checksum."""
-        total = IPV4_HEADER_LEN + len(self.payload)
-        flags_fragment = 0x4000 if self.flags_df else 0
-        header = _HEADER.pack(
-            (4 << 4) | 5,  # version 4, IHL 5
-            self.dscp << 2,
-            total,
-            self.ident & 0xFFFF,
-            flags_fragment,
-            self.ttl,
-            self.proto,
-            0,  # checksum placeholder
-            self.src_ip.to_bytes(4, "big"),
-            self.dst_ip.to_bytes(4, "big"),
+        header = encode_frame_header(
+            0, 0, self.src_ip, self.dst_ip, self.proto, len(self.payload),
+            self.ttl, self.ident, self.dscp, self.flags_df,
         )
-        checksum = internet_checksum(header)
-        return header[:10] + struct.pack("!H", checksum) + header[12:] + self.payload
+        return header[ETH_HEADER_LEN:] + self.payload
 
     @classmethod
     def decode(cls, data: bytes, verify_checksum: bool = False) -> "Ipv4Packet":

@@ -19,10 +19,10 @@ from .ethernet import (
     EthernetFrame,
 )
 from .icmp import IcmpMessage
-from .ipv4 import IPV4_HEADER_LEN, PROTO_ICMP, PROTO_TCP, PROTO_UDP, Ipv4Packet
+from .ipv4 import IPV4_HEADER_LEN, PROTO_ICMP, PROTO_TCP, PROTO_UDP, encode_frame_header
 from .ipx import IpxPacket
-from .tcp import TcpSegment
-from .udp import UdpDatagram
+from .tcp import encode_tcp_frame
+from .udp import encode_udp_frame
 
 __all__ = [
     "CapturedPacket",
@@ -233,28 +233,11 @@ def make_tcp_packet(
     ident: int = 0,
 ) -> CapturedPacket:
     """Craft a full Ethernet/IPv4/TCP packet."""
-    segment = TcpSegment(
-        src_port=src_port,
-        dst_port=dst_port,
-        seq=seq,
-        ack=ack,
-        flags=flags,
-        payload=payload,
-        mss=mss,
+    data = encode_tcp_frame(
+        src_mac, dst_mac, src_ip, dst_ip, src_port, dst_port, seq, ack, flags, payload,
+        mss, ttl, ident,
     )
-    ip = Ipv4Packet(
-        src_ip=src_ip,
-        dst_ip=dst_ip,
-        proto=PROTO_TCP,
-        payload=segment.encode(src_ip, dst_ip),
-        ttl=ttl,
-        ident=ident,
-    )
-    frame = EthernetFrame(
-        dst_mac=dst_mac, src_mac=src_mac, ethertype=ETHERTYPE_IPV4, payload=ip.encode()
-    )
-    data = frame.encode()
-    return CapturedPacket(ts=ts, data=data, wire_len=len(data))
+    return CapturedPacket(ts, data, len(data))
 
 
 def make_udp_packet(
@@ -270,20 +253,10 @@ def make_udp_packet(
     ident: int = 0,
 ) -> CapturedPacket:
     """Craft a full Ethernet/IPv4/UDP packet."""
-    datagram = UdpDatagram(src_port=src_port, dst_port=dst_port, payload=payload)
-    ip = Ipv4Packet(
-        src_ip=src_ip,
-        dst_ip=dst_ip,
-        proto=PROTO_UDP,
-        payload=datagram.encode(src_ip, dst_ip),
-        ttl=ttl,
-        ident=ident,
+    data = encode_udp_frame(
+        src_mac, dst_mac, src_ip, dst_ip, src_port, dst_port, payload, ttl, ident
     )
-    frame = EthernetFrame(
-        dst_mac=dst_mac, src_mac=src_mac, ethertype=ETHERTYPE_IPV4, payload=ip.encode()
-    )
-    data = frame.encode()
-    return CapturedPacket(ts=ts, data=data, wire_len=len(data))
+    return CapturedPacket(ts, data, len(data))
 
 
 def make_icmp_packet(
@@ -303,13 +276,11 @@ def make_icmp_packet(
     msg = IcmpMessage(
         icmp_type=icmp_type, code=code, ident=ident, sequence=sequence, payload=payload
     )
-    ip = Ipv4Packet(
-        src_ip=src_ip, dst_ip=dst_ip, proto=PROTO_ICMP, payload=msg.encode(), ttl=ttl
+    message = msg.encode()
+    data = (
+        encode_frame_header(src_mac, dst_mac, src_ip, dst_ip, PROTO_ICMP, len(message), ttl)
+        + message
     )
-    frame = EthernetFrame(
-        dst_mac=dst_mac, src_mac=src_mac, ethertype=ETHERTYPE_IPV4, payload=ip.encode()
-    )
-    data = frame.encode()
     return CapturedPacket(ts=ts, data=data, wire_len=len(data))
 
 

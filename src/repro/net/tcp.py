@@ -10,8 +10,8 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from .checksum import internet_checksum, pseudo_header
-from .ipv4 import PROTO_TCP
+from .checksum import PSEUDO_HEADER_FORMAT, internet_checksum
+from .ipv4 import FRAME_HEADER_LEN, PROTO_TCP, encode_frame_header
 
 __all__ = [
     "TCP_HEADER_LEN",
@@ -22,6 +22,7 @@ __all__ = [
     "ACK",
     "URG",
     "TcpSegment",
+    "encode_tcp_frame",
     "flags_to_str",
 ]
 
@@ -37,6 +38,67 @@ URG = 0x20
 _FLAG_NAMES = [(FIN, "F"), (SYN, "S"), (RST, "R"), (PSH, "P"), (ACK, "A"), (URG, "U")]
 
 _HEADER = struct.Struct("!HHIIBBHHH")
+
+#: The pseudo-header and the TCP header (checksum zero) in one pack; the
+#: TCP header is its last 20 bytes.
+_PSEUDO_AND_HEADER = struct.Struct(PSEUDO_HEADER_FORMAT + _HEADER.format[1:])
+_CHECKSUM_AT = 12 + 16  # offset of the TCP checksum in that pack
+
+_MSS_OPTION = struct.Struct("!BBH")
+
+
+def encode_tcp_frame(
+    src_mac: int,
+    dst_mac: int,
+    src_ip: int,
+    dst_ip: int,
+    src_port: int,
+    dst_port: int,
+    seq: int,
+    ack: int,
+    flags: int,
+    payload: bytes = b"",
+    mss: int | None = None,
+    ttl: int = 64,
+    ident: int = 0,
+    window: int = 65535,
+    urgent: int = 0,
+) -> bytes:
+    """The wire bytes of one Ethernet/IPv4/TCP frame, both checksums set.
+
+    This is the one TCP encoder: the generator calls it for every
+    segment it emits, and :meth:`TcpSegment.encode` is its TCP part.
+    The only option it writes is MSS, when ``mss`` is given.
+    """
+    options = b"" if mss is None else _MSS_OPTION.pack(2, 4, mss)
+    header_len = TCP_HEADER_LEN + len(options)
+    length = header_len + len(payload)
+    pseudo_and_header = _PSEUDO_AND_HEADER.pack(
+        src_ip,
+        dst_ip,
+        PROTO_TCP,
+        length,
+        src_port,
+        dst_port,
+        seq & 0xFFFFFFFF,
+        ack & 0xFFFFFFFF,
+        header_len << 2,  # data offset in 32-bit words, high nibble
+        flags,
+        window,
+        0,  # checksum placeholder
+        urgent,
+    )
+    checksum = internet_checksum(b"".join((pseudo_and_header, options, payload)))
+    return b"".join(
+        (
+            encode_frame_header(src_mac, dst_mac, src_ip, dst_ip, PROTO_TCP, length, ttl, ident),
+            pseudo_and_header[12:_CHECKSUM_AT],
+            checksum.to_bytes(2, "big"),
+            pseudo_and_header[_CHECKSUM_AT + 2 :],
+            options,
+            payload,
+        )
+    )
 
 
 def flags_to_str(flags: int) -> str:
@@ -62,30 +124,13 @@ class TcpSegment:
     mss: int | None = None
     urgent: int = 0
 
-    def _options(self) -> bytes:
-        if self.mss is None:
-            return b""
-        return struct.pack("!BBH", 2, 4, self.mss)
-
     def encode(self, src_ip: int, dst_ip: int) -> bytes:
         """Serialize with a correct checksum over the pseudo-header."""
-        options = self._options()
-        data_offset = (TCP_HEADER_LEN + len(options)) // 4
-        header = _HEADER.pack(
-            self.src_port,
-            self.dst_port,
-            self.seq & 0xFFFFFFFF,
-            self.ack & 0xFFFFFFFF,
-            data_offset << 4,
-            self.flags,
-            self.window,
-            0,  # checksum placeholder
-            self.urgent,
+        frame = encode_tcp_frame(
+            0, 0, src_ip, dst_ip, self.src_port, self.dst_port, self.seq, self.ack,
+            self.flags, self.payload, self.mss, window=self.window, urgent=self.urgent,
         )
-        segment = header + options + self.payload
-        pseudo = pseudo_header(src_ip, dst_ip, PROTO_TCP, len(segment))
-        checksum = internet_checksum(pseudo + segment)
-        return segment[:16] + struct.pack("!H", checksum) + segment[18:]
+        return frame[FRAME_HEADER_LEN:]
 
     @classmethod
     def decode(cls, data: bytes) -> "TcpSegment":

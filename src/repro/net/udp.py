@@ -9,14 +9,52 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from .checksum import internet_checksum, pseudo_header
-from .ipv4 import PROTO_UDP
+from .checksum import PSEUDO_HEADER_FORMAT, internet_checksum
+from .ipv4 import FRAME_HEADER_LEN, PROTO_UDP, encode_frame_header
 
-__all__ = ["UDP_HEADER_LEN", "UdpDatagram"]
+__all__ = ["UDP_HEADER_LEN", "UdpDatagram", "encode_udp_frame"]
 
 UDP_HEADER_LEN = 8
 
 _HEADER = struct.Struct("!HHHH")
+
+#: The pseudo-header and the UDP header (checksum zero) in one pack; the
+#: UDP header is its last 8 bytes.
+_PSEUDO_AND_HEADER = struct.Struct(PSEUDO_HEADER_FORMAT + _HEADER.format[1:])
+_CHECKSUM_AT = 12 + 6  # offset of the UDP checksum in that pack
+
+
+def encode_udp_frame(
+    src_mac: int,
+    dst_mac: int,
+    src_ip: int,
+    dst_ip: int,
+    src_port: int,
+    dst_port: int,
+    payload: bytes = b"",
+    ttl: int = 64,
+    ident: int = 0,
+) -> bytes:
+    """The wire bytes of one Ethernet/IPv4/UDP frame, both checksums set.
+
+    This is the one UDP encoder: the generator calls it for every
+    datagram it emits, and :meth:`UdpDatagram.encode` is its UDP part.
+    """
+    length = UDP_HEADER_LEN + len(payload)
+    pseudo_and_header = _PSEUDO_AND_HEADER.pack(
+        src_ip, dst_ip, PROTO_UDP, length, src_port, dst_port, length, 0
+    )
+    checksum = internet_checksum(pseudo_and_header + payload)
+    if checksum == 0:
+        checksum = 0xFFFF  # RFC 768: transmitted 0 means "no checksum"
+    return b"".join(
+        (
+            encode_frame_header(src_mac, dst_mac, src_ip, dst_ip, PROTO_UDP, length, ttl, ident),
+            pseudo_and_header[12:_CHECKSUM_AT],
+            checksum.to_bytes(2, "big"),
+            payload,
+        )
+    )
 
 
 @dataclass(frozen=True)
@@ -29,13 +67,8 @@ class UdpDatagram:
 
     def encode(self, src_ip: int, dst_ip: int) -> bytes:
         """Serialize with a correct checksum over the pseudo-header."""
-        length = UDP_HEADER_LEN + len(self.payload)
-        header = _HEADER.pack(self.src_port, self.dst_port, length, 0)
-        pseudo = pseudo_header(src_ip, dst_ip, PROTO_UDP, length)
-        checksum = internet_checksum(pseudo + header + self.payload)
-        if checksum == 0:
-            checksum = 0xFFFF  # RFC 768: transmitted 0 means "no checksum"
-        return _HEADER.pack(self.src_port, self.dst_port, length, checksum) + self.payload
+        frame = encode_udp_frame(0, 0, src_ip, dst_ip, self.src_port, self.dst_port, self.payload)
+        return frame[FRAME_HEADER_LEN:]
 
     @classmethod
     def decode(cls, data: bytes) -> "UdpDatagram":

@@ -58,6 +58,7 @@ __all__ = [
     "GcReport",
     "DEFAULT_TMP_GRACE",
     "manifest_references",
+    "read_manifest",
 ]
 
 _OBJECT_SUFFIX = ".rcs"
@@ -75,6 +76,21 @@ DAEMON_DIR = "daemon"
 #: plausible stall, yet short enough that real debris is still swept by
 #: the next maintenance pass.
 DEFAULT_TMP_GRACE = 300.0
+
+
+def read_manifest(path: Path) -> dict | None:
+    """One manifest file's payload, or ``None`` when it cannot be read,
+    is not JSON, or is JSON but not an object.
+
+    A manifest that fails here — torn by a legacy writer, bit-rotted,
+    mid-flip under chaos — is skipped by every reader; the scrubber is
+    where such files get diagnosed and quarantined.
+    """
+    try:
+        payload = json.loads(fsio.read_bytes(path).decode("utf-8"))
+    except (OSError, ValueError):
+        return None
+    return payload if isinstance(payload, dict) else None
 
 
 def manifest_references(payload: dict) -> tuple[str, ...]:
@@ -322,15 +338,11 @@ class ConnStore:
     def lookup(self, key: str) -> dict | None:
         """Load a manifest by key, following generation-key aliases.
 
-        A manifest that cannot be read or parsed — torn by a legacy
-        writer, bit-rotted, or mid-flip under chaos — is treated as a
-        cache miss, never an error; the scrubber is where such files
-        get diagnosed and quarantined.
+        A manifest :func:`read_manifest` rejects is a cache miss, never
+        an error.
         """
-        path = self._manifest_path(key)
-        try:
-            payload = json.loads(fsio.read_bytes(path).decode("utf-8"))
-        except (OSError, ValueError):
+        payload = read_manifest(self._manifest_path(key))
+        if payload is None:
             return None
         ref = payload.get("ref")
         if ref is not None:
@@ -342,11 +354,9 @@ class ConnStore:
         if not self.manifests_dir.is_dir():
             return
         for path in sorted(self.manifests_dir.glob("*.json")):
-            try:
-                payload = json.loads(fsio.read_bytes(path).decode("utf-8"))
-            except (OSError, ValueError):
-                continue
-            yield payload
+            payload = read_manifest(path)
+            if payload is not None:
+                yield payload
 
     def manifests(self) -> Iterator[dict]:
         """Every dataset manifest in the store.

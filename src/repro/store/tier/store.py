@@ -43,6 +43,7 @@ from ..cache import (
     DEFAULT_TMP_GRACE,
     _OBJECT_SUFFIX,
     manifest_references,
+    read_manifest,
 )
 from ..shard import ShardError
 from .health import HealthTracker, UnderReplicatedQueue
@@ -384,9 +385,8 @@ class TieredStore(ConnStore):
         if found is not None or self.placement.effective_replicas() <= 1:
             return found
         for _, path in self.mirror_paths(key):
-            try:
-                payload = json.loads(fsio.read_bytes(path).decode("utf-8"))
-            except (OSError, ValueError):
+            payload = read_manifest(path)
+            if payload is None:
                 continue
             ref = payload.get("ref")
             if ref is not None:
@@ -412,11 +412,9 @@ class TieredStore(ConnStore):
             for path in sorted(directory.glob("*.json")):
                 if path.stem in primary_keys:
                     continue  # the primary copy was already folded in
-                try:
-                    payload = json.loads(fsio.read_bytes(path).decode("utf-8"))
-                except (OSError, ValueError):
-                    continue
-                referenced.update(manifest_references(payload))
+                payload = read_manifest(path)
+                if payload is not None:
+                    referenced.update(manifest_references(payload))
         return referenced
 
     def gc(self, dry_run: bool = False, tmp_grace_s: float = DEFAULT_TMP_GRACE):
@@ -443,11 +441,9 @@ class TieredStore(ConnStore):
                 # missing primary means "done", not "lost".  Any other
                 # orphan mirror is a disaster copy — `repair --replicas`
                 # restores the primary from it; gc must not eat it.
-                try:
-                    payload = json.loads(fsio.read_bytes(path).decode("utf-8"))
-                    retired = payload.get("kind") == "checkpoint"
-                except (OSError, ValueError):
-                    retired = True  # a torn mirror restores nothing
+                payload = read_manifest(path)
+                # A torn mirror restores nothing.
+                retired = payload is None or payload.get("kind") == "checkpoint"
                 if not retired:
                     continue
                 orphans += 1
@@ -720,6 +716,8 @@ class TieredStore(ConnStore):
                     blob = fsio.read_bytes(path).decode("utf-8")
                     payload = json.loads(blob)
                 except (OSError, ValueError):
+                    continue
+                if not isinstance(payload, dict):
                     continue
                 if payload.get("kind") == "checkpoint":
                     return True  # retired, nothing to restore

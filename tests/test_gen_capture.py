@@ -1,5 +1,6 @@
 """Tests for the tap schedule and dataset generation (repro.gen.capture)."""
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -105,6 +106,33 @@ class TestGenerateDataset:
                     involved = decoded.src_ip in prefix or decoded.dst_ip in prefix
                     multicast = decoded.dst_ip >= 0xE0000000
                     assert involved or multicast
+
+
+#: SHA-256 over every pcap ``generate_dataset`` writes (in window order)
+#: for ``Enterprise(seed=1234)``, ``scale=0.002``, ``max_windows=2``.
+#: The tables can match while the bytes drift; this pins the bytes.
+_GOLDEN_PCAPS = {
+    (1, "D0"): "a0a08e212cf125e992abc41c7e25c21cea5784c647f9db9ce493cbfa4bde6ca2",
+    (1, "D1"): "6c075e6590979a82dfe8546d039b60036c00c62ad59f512d5820becae2069046",
+    (1, "D2"): "e0cf1efd2f84cbb3d4c8501660533119950c61db402c0cea8a401fd88851a429",
+    (1, "D3"): "42afcd8499aeb7ff41afa6bf1dfebc5857c25745a3dfe7a90a23740ddb3a071b",
+    (1, "D4"): "fe48467fb9b2264efbe53869674e3cb2357cbe2dd64ff98459557c0608c17f51",
+    (2, "D0"): "49432235d2c54fc6af30ebaa728acf6c7b42487180b5f9ffbb4f7e031b67cf40",
+    (2, "D1"): "c607013a33aae65ab8b91689c345a377a2225cae7d12aa670095a6ba907f6e46",
+    (2, "D2"): "4b993164c8c4d0fe30e2f426cd57d35d1d842635d2673dff09291b118f9ec6b1",
+    (2, "D3"): "a9d572bb54374bf83ef1ced3b6d74ecc809648b021502fbbe5c5080444dd1264",
+    (2, "D4"): "bfe1522eeb2544bf8dcccf3c896e0cc926d50a84458a98de1aceb80bf4634437",
+}
+
+
+@pytest.mark.parametrize(("seed", "name"), sorted(_GOLDEN_PCAPS))
+def test_generated_bytes_are_pinned(enterprise, tmp_path, seed, name):
+    traces = generate_dataset(name, enterprise, tmp_path, seed=seed, scale=0.002,
+                              max_windows=2)
+    digest = hashlib.sha256()
+    for trace in traces.traces:
+        digest.update(Path(trace.path).read_bytes())
+    assert digest.hexdigest() == _GOLDEN_PCAPS[seed, name]
 
 
 class TestGenerateStudy:

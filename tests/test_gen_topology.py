@@ -3,6 +3,7 @@
 import random
 
 from repro.gen.topology import ENTERPRISE_NET, Enterprise, Role, wan_address
+from repro.util.addr import int_to_ip
 
 
 class TestEnterprise:
@@ -85,6 +86,27 @@ class TestPeerPicking:
         rng = random.Random(3)
         host = enterprise.pick_workstation(rng, enterprise.subnets[1])
         assert host.subnet_index == 1
+
+    def test_workstations_are_the_role_filtered_hosts(self, enterprise):
+        for subnet in enterprise.subnets:
+            assert subnet.workstations == [
+                host for host in subnet.hosts if Role.WORKSTATION in host.roles
+            ]
+
+    def test_workstation_draws_are_pinned(self, enterprise):
+        """A fixed-seed draw sequence: the generator's client picks (and
+        so every generated trace) depend on it."""
+        rng = random.Random(7)
+        subnets = enterprise.subnets
+        draws = [
+            int_to_ip(enterprise.pick_workstation(rng, subnets[(5 * i) % len(subnets)]).ip)
+            for i in range(12)
+        ]
+        assert draws == [
+            "131.243.1.42", "131.243.6.20", "131.243.11.51", "131.243.16.84",
+            "131.243.21.7", "131.243.104.19", "131.243.109.138", "131.243.114.13",
+            "131.243.1.47", "131.243.6.75", "131.243.11.8", "131.243.16.65",
+        ]
 
 
 class TestWanAddress:

@@ -1,10 +1,13 @@
 """Tests for the wire-format layers in repro.net."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.net.arp import ARP_REQUEST, ArpPacket
+import repro.net.checksum as checksum_module
 from repro.net.checksum import internet_checksum, pseudo_header
 from repro.net.ethernet import (
     BROADCAST_MAC,
@@ -17,6 +20,19 @@ from repro.net.ipv4 import PROTO_TCP, PROTO_UDP, Ipv4Packet
 from repro.net.ipx import IpxPacket
 from repro.net.tcp import ACK, FIN, PSH, RST, SYN, TcpSegment, flags_to_str
 from repro.net.udp import UdpDatagram
+
+
+def _rfc1071(data: bytes) -> int:
+    """The reference: sum 16-bit big-endian words (odd tail zero-padded),
+    fold the carries back in, complement."""
+    if len(data) % 2:
+        data += b"\x00"
+    total = 0
+    for i in range(0, len(data), 2):
+        total += (data[i] << 8) | data[i + 1]
+    while total >> 16:
+        total = (total & 0xFFFF) + (total >> 16)
+    return ~total & 0xFFFF
 
 
 class TestChecksum:
@@ -40,6 +56,26 @@ class TestChecksum:
             data += b"\x00"
         checksum = internet_checksum(data)
         assert internet_checksum(data + checksum.to_bytes(2, "big")) == 0
+
+    @pytest.mark.parametrize("fill", ["random", "zeros", "ones"])
+    def test_matches_rfc1071_word_loop_at_every_length(self, fill):
+        """Every length from 0 to 1600 — odd ones, and both sides of the
+        split between the integer and the word-array sums."""
+        block = {
+            "random": random.Random(1071).randbytes(1600),
+            "zeros": bytes(1600),
+            "ones": b"\xff" * 1600,
+        }[fill]
+        for length in range(1601):
+            data = block[:length]
+            assert internet_checksum(data) == _rfc1071(data), length
+
+    def test_long_buffers_without_numpy(self, monkeypatch):
+        monkeypatch.setattr(checksum_module, "_np", None)
+        block = random.Random(768).randbytes(1600)
+        for length in (1023, 1024, 1025, 1026, 1499, 1500, 1600):
+            assert internet_checksum(block[:length]) == _rfc1071(block[:length])
+        assert internet_checksum(b"\xff" * 1500) == _rfc1071(b"\xff" * 1500)
 
     def test_pseudo_header_layout(self):
         pseudo = pseudo_header(0x0A000001, 0x0A000002, PROTO_TCP, 20)
@@ -201,10 +237,17 @@ class TestUdp:
         assert int.from_bytes(data[4:6], "big") == 11
 
     def test_zero_checksum_becomes_ffff(self):
-        # Find a payload whose checksum computes to 0 is hard; instead
-        # just assert the emitted checksum is never the "absent" 0 value.
-        data = UdpDatagram(1, 2, b"").encode(0, 0)
-        assert data[6:8] != b"\x00\x00"
+        # A two-byte payload equal to the checksum of the same datagram
+        # with a zero payload makes the word sum 0xFFFF: the computed
+        # checksum is 0, which RFC 768 reserves for "no checksum".
+        src, dst, length = 0x0A000001, 0x0A000002, 10
+        zeroed = pseudo_header(src, dst, PROTO_UDP, length) + bytes(
+            [0x04, 0xD2, 0x16, 0x2E, 0, length, 0, 0, 0, 0]
+        )
+        payload = internet_checksum(zeroed).to_bytes(2, "big")
+        data = UdpDatagram(1234, 5678, payload).encode(src, dst)
+        assert internet_checksum(zeroed[:-2] + payload) == 0
+        assert data[6:8] == b"\xff\xff"
 
     def test_too_short(self):
         with pytest.raises(ValueError):

@@ -1,11 +1,13 @@
 """Tests for the high-level packet model (craft + flat decode)."""
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.net.ethernet import ETHERTYPE_ARP, ETHERTYPE_IPX
+from repro.net.checksum import internet_checksum, pseudo_header
+from repro.net.ethernet import ETHERTYPE_ARP, ETHERTYPE_IPV4, ETHERTYPE_IPX, EthernetFrame
 from repro.net.icmp import ICMP_ECHO_REQUEST
-from repro.net.ipv4 import PROTO_ICMP, PROTO_TCP, PROTO_UDP
+from repro.net.ipv4 import PROTO_ICMP, PROTO_TCP, PROTO_UDP, Ipv4Packet
 from repro.net.ipx import IpxPacket
 from repro.net.packet import (
     CapturedPacket,
@@ -16,7 +18,8 @@ from repro.net.packet import (
     make_tcp_packet,
     make_udp_packet,
 )
-from repro.net.tcp import ACK, PSH, SYN
+from repro.net.tcp import ACK, PSH, SYN, TcpSegment
+from repro.net.udp import UdpDatagram
 
 
 class TestCapturedPacket:
@@ -139,3 +142,109 @@ def test_tcp_craft_decode_property(sport, dport, seq, payload):
     assert d.dst_port == dport
     assert d.seq == seq
     assert d.payload == payload
+
+
+# -- the one-pass frame encoders ----------------------------------------
+
+_A_MAC, _B_MAC = 0x00A0C9000001, 0x00A0C9000102
+_A_IP, _B_IP = 0x83F30105, 0x83F30206
+
+#: Encoder cases with their wire bytes as the layer-by-layer encoders
+#: (Ethernet, IPv4, TCP/UDP dataclasses, each checksummed separately)
+#: produced them before the one-pass encoders replaced that chain.
+_TCP_FRAMES = {
+    "syn-mss": (
+        dict(src_port=40000, dst_port=80, seq=1000, ack=0, flags=SYN, mss=1460),
+        "00a0c900010200a0c900000108004500002c0000400040062fdb83f3010583f302069c40"
+        "0050000003e8000000006002ffffecbc0000020405b4",
+    ),
+    "data-psh": (
+        dict(src_port=40000, dst_port=80, seq=1001, ack=5001, flags=ACK | PSH,
+             payload=b"GET / HTTP/1.0\r\n\r\n"),
+        "00a0c900010200a0c900000108004500003a0000400040062fcd83f3010583f302069c40"
+        "0050000003e9000013895018ffff12270000474554202f20485454502f312e300d0a0d0a",
+    ),
+    "keepalive": (
+        dict(src_port=524, dst_port=1025, seq=77, ack=88, flags=ACK, payload=b"\x00"),
+        "00a0c900010200a0c90000010800450000290000400040062fde83f3010583f30206020c"
+        "04010000004d000000585010ffff9e30000000",
+    ),
+    "seq-ack-past-2**32": (
+        dict(src_port=1, dst_port=2, seq=(1 << 32) + 5, ack=(3 << 32) + 9, flags=ACK),
+        "00a0c900010200a0c90000010800450000280000400040062fdf83f3010583f302060001"
+        "000200000005000000095010ffffa4d20000",
+    ),
+    "ident-ttl": (
+        dict(src_port=2049, dst_port=800, seq=1, ack=2, flags=ACK, payload=b"xyz",
+             ttl=3, ident=0x1ABCD),
+        "00a0c900010200a0c900000108004500002babcd40000306c10e83f3010583f302060801"
+        "032000000001000000025010ffffa742000078797a",
+    ),
+}
+
+_UDP_FRAMES = {
+    "dns": (
+        dict(src_port=33000, dst_port=53, payload=b"\x12\x34\x01\x00"),
+        "00a0c900010200a0c90000010800450000200000400040112fdc83f3010583f3020680e8"
+        "0035000c609312340100",
+    ),
+    "empty": (
+        dict(src_port=1, dst_port=2),
+        "00a0c900010200a0c900000108004500001c0000400040112fe083f3010583f302060001"
+        "00020008f4e9",
+    ),
+    "ident-ttl": (
+        dict(src_port=137, dst_port=137, payload=b"abcde", ttl=1, ident=70000),
+        "00a0c900010200a0c90000010800450000211170400001115d6b83f3010583f302060089"
+        "0089000dca096162636465",
+    ),
+    # The payload is the checksum of the same datagram with a zero
+    # payload, so the word sum is 0xFFFF and the computed checksum 0,
+    # which RFC 768 reserves for "none": it goes out as 0xFFFF.
+    "checksum-folds-to-zero": (
+        dict(src_port=1234, dst_port=5678, payload=b"\xd9\xe8"),
+        "00a0c900010200a0c900000108004500001e0000400040112fde83f3010583f3020604d2"
+        "162e000affffd9e8",
+    ),
+}
+
+
+def _composed(proto: int, transport: bytes, ttl: int = 64, ident: int = 0) -> bytes:
+    ip = Ipv4Packet(src_ip=_A_IP, dst_ip=_B_IP, proto=proto, payload=transport,
+                    ttl=ttl, ident=ident)
+    return EthernetFrame(dst_mac=_B_MAC, src_mac=_A_MAC, ethertype=ETHERTYPE_IPV4,
+                         payload=ip.encode()).encode()
+
+
+def _checksums_verify(data: bytes) -> bool:
+    """Both checksums verify from first principles (RFC 1071 sums to 0)."""
+    ip_header = data[14:34]
+    transport = data[34:]
+    pseudo = pseudo_header(_A_IP, _B_IP, ip_header[9], len(transport))
+    return internet_checksum(ip_header) == 0 and internet_checksum(pseudo + transport) == 0
+
+
+@pytest.mark.parametrize("case", sorted(_TCP_FRAMES))
+def test_tcp_encoder_matches_layer_composition(case):
+    fields, wire_hex = _TCP_FRAMES[case]
+    fields = dict(fields)
+    ttl, ident = fields.pop("ttl", 64), fields.pop("ident", 0)
+    pkt = make_tcp_packet(0.0, _A_MAC, _B_MAC, _A_IP, _B_IP, ttl=ttl, ident=ident, **fields)
+    segment = TcpSegment(**fields).encode(_A_IP, _B_IP)
+    assert pkt.data == _composed(PROTO_TCP, segment, ttl, ident)
+    assert pkt.data.hex() == wire_hex
+    assert pkt.wire_len == len(pkt.data)
+    assert _checksums_verify(pkt.data)
+
+
+@pytest.mark.parametrize("case", sorted(_UDP_FRAMES))
+def test_udp_encoder_matches_layer_composition(case):
+    fields, wire_hex = _UDP_FRAMES[case]
+    fields = dict(fields)
+    ttl, ident = fields.pop("ttl", 64), fields.pop("ident", 0)
+    pkt = make_udp_packet(0.0, _A_MAC, _B_MAC, _A_IP, _B_IP, ttl=ttl, ident=ident, **fields)
+    datagram = UdpDatagram(**fields).encode(_A_IP, _B_IP)
+    assert pkt.data == _composed(PROTO_UDP, datagram, ttl, ident)
+    assert pkt.data.hex() == wire_hex
+    assert _checksums_verify(pkt.data)
+

@@ -314,6 +314,27 @@ def test_gc_spares_in_flight_temp_files(store_study, tmp_path):
     assert not in_flight.exists()
 
 
+def test_manifest_that_is_json_but_not_an_object_is_skipped(store_study, tmp_path):
+    """``[1]`` parses but is no manifest: every reader treats it like an
+    unparseable file (a miss, skipped), and scrub quarantines it."""
+    _, root = store_study
+    store = copy_store(root, tmp_path)
+    referenced = store.referenced_objects()
+    rogue = store.manifests_dir / "x.json"
+    rogue.write_text("[1]", encoding="utf-8")
+    assert store.lookup("x") is None
+    assert len(list(store.manifests())) == 1
+    assert list(store.checkpoints()) == []
+    assert store.referenced_objects() == referenced
+    assert store.stats()["manifests"] == 1
+    assert store.gc().removed == ()
+    report = StoreScrubber(store).scrub()
+    assert [finding.kind for finding in report.corrupt_manifests] == ["decode_error"]
+    assert report.corrupt_manifests[0].path == "manifests/x.json"
+    assert not rogue.exists()
+    assert (store.root / "quarantine" / "decode_error" / rogue.name).exists()
+
+
 def test_stats_accounting(store_study):
     _, root = store_study
     stats = ConnStore(root).stats()

@@ -396,6 +396,22 @@ def test_gc_keeps_disaster_mirrors_but_sweeps_retired_checkpoints(
     assert report.orphan_mirrors == 0
 
 
+def test_mirror_that_is_json_but_not_an_object_is_a_torn_mirror(replicated_study):
+    """An orphan mirror holding ``[1]`` is skipped like an unparseable
+    one: no lookup hit, no references, and gc sweeps it."""
+    store = replicated_study
+    referenced = store.referenced_objects()
+    mirrors = [path for _, path in store.mirror_paths("x")]
+    assert mirrors
+    for path in mirrors:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("[1]", encoding="utf-8")
+    assert store.lookup("x") is None
+    assert store.referenced_objects() == referenced
+    assert store.gc().orphan_mirrors == len(mirrors)
+    assert not any(path.exists() for path in mirrors)
+
+
 # -- the headline: kill a root mid-load ---------------------------------------
 
 
